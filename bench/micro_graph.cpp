@@ -1,5 +1,5 @@
-// Microbenchmarks for the graph substrate: Dijkstra, Yen, centralities
-// and SCC on the synthetic city networks.
+// Microbenchmarks for the graph substrate: Dijkstra, Yen, centralities,
+// CH/CCH and SCC on the synthetic city networks.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -8,10 +8,12 @@
 #include "citygen/generate.hpp"
 #include "core/rng.hpp"
 #include "graph/betweenness.hpp"
+#include "graph/cch.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/contraction_hierarchy.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/eigen.hpp"
+#include "graph/nested_dissection.hpp"
 #include "graph/yen.hpp"
 
 namespace {
@@ -104,6 +106,32 @@ void BM_ChQuery(benchmark::State& state, citygen::City city) {
   }
 }
 
+void BM_CchBuild(benchmark::State& state, citygen::City city) {
+  const auto& g = fixture(city).network.graph();
+  for (auto _ : state) {
+    auto topo = CchTopology::build(g, nested_dissection_order(g));
+    benchmark::DoNotOptimize(topo.num_triangles());
+  }
+}
+
+/// The attack loop's step: re-customize to a fresh 8-edge cut, then back.
+void BM_CchRecustomize8(benchmark::State& state, citygen::City city) {
+  const auto& f = fixture(city);
+  const auto& g = f.network.graph();
+  const auto topo = CchTopology::build(g, nested_dissection_order(g));
+  CchMetric metric(topo, f.weights);
+  Rng rng(17);
+  EdgeFilter filter(g.num_edges());
+  for (auto _ : state) {
+    filter.clear();
+    for (int i = 0; i < 8; ++i) {
+      filter.remove(EdgeId(static_cast<std::uint32_t>(rng.uniform_index(g.num_edges()))));
+    }
+    metric.recustomize(&filter);
+    metric.recustomize(nullptr);
+  }
+}
+
 void BM_Scc(benchmark::State& state, citygen::City city) {
   const auto& f = fixture(city);
   for (auto _ : state) {
@@ -124,4 +152,6 @@ BENCHMARK_CAPTURE(BM_EigenvectorCentrality, chicago, citygen::City::Chicago);
 BENCHMARK_CAPTURE(BM_EdgeBetweennessSampled, chicago, citygen::City::Chicago)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ChBuild, chicago, citygen::City::Chicago)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ChQuery, chicago, citygen::City::Chicago);
+BENCHMARK_CAPTURE(BM_CchBuild, chicago, citygen::City::Chicago)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CchRecustomize8, chicago, citygen::City::Chicago);
 BENCHMARK_CAPTURE(BM_Scc, losangeles, citygen::City::LosAngeles);

@@ -48,7 +48,7 @@ ExclusivityOracle::ExclusivityOracle(const ForcePathCutProblem& problem, WorkBud
     // assets must belong to this problem's graph+weights (build contract,
     // graph/ch_assets.hpp); size mismatches are the detectable violations.
     require(problem.ch->ch.num_nodes() == problem.graph->num_nodes() &&
-                problem.ch->cch.num_edges() == problem.graph->num_edges(),
+                problem.ch->cch->num_edges() == problem.graph->num_edges(),
             "oracle: ChAssets do not match the problem graph");
     problem.ch->ch.bounds_to_target(problem_.target, thread_ch_search_space(), reverse_tree_,
                                     trace_);
@@ -128,7 +128,7 @@ std::optional<Path> ExclusivityOracle::find_violating_path(const EdgeFilter& fil
   const SearchSpace* certification_bounds = nullptr;
   if (problem_.ch != nullptr) {
     if (cch_ == nullptr) {
-      cch_ = std::make_unique<CchMetric>(problem_.ch->cch, problem_.weights);
+      cch_ = std::make_unique<CchMetric>(*problem_.ch->cch, problem_.weights);
     }
     cch_->recustomize(&filter);
     cch_->bounds_to_target(problem_.target, cch_bounds_, trace_);

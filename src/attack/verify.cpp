@@ -52,9 +52,9 @@ VerifyReport verify_attack(const ForcePathCutProblem& problem,
   // below deliberately stay on the Dijkstra machinery: an independent
   // implementation should confirm what the CCH-accelerated attack claims.
   double dist = 0.0;
-  if (problem.ch != nullptr && problem.ch->cch.num_edges() == g.num_edges() &&
-      problem.ch->cch.num_nodes() == g.num_nodes()) {
-    CchMetric metric(problem.ch->cch, problem.weights);
+  if (problem.ch != nullptr && problem.ch->cch->num_edges() == g.num_edges() &&
+      problem.ch->cch->num_nodes() == g.num_nodes()) {
+    CchMetric metric(*problem.ch->cch, problem.weights);
     metric.recustomize(&filter);
     dist = metric.distance(problem.source, problem.target);
   } else {

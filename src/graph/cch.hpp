@@ -8,12 +8,14 @@
 // thousands of candidate cuts.  CCH splits preprocessing in two:
 //
 //   1. CchTopology (metric-independent, built once per graph): run the
-//      elimination game over the CH's fixed contraction order with NO
-//      witness pruning, recording for every arc the original parallel
-//      edges mapping onto it and every lower triangle {(u,v),(v,w)} that
-//      can compose into it.  Arcs are stored in customization order —
-//      ascending rank of the lower endpoint — so every triangle's children
-//      strictly precede its parent.
+//      elimination game over a fixed contraction order — the graph's
+//      nested-dissection order (graph/nested_dissection.hpp), whose small
+//      separators bound the fill-in — with NO witness pruning, recording
+//      for every arc the original parallel edges mapping onto it and
+//      every lower triangle {(u,v),(v,w)} that can compose into it.  Arcs
+//      are stored in customization order — ascending rank of the lower
+//      endpoint — so every triangle's children strictly precede its
+//      parent.
 //
 //   2. CchMetric (cheap, per weight vector): customization assigns each
 //      arc min(surviving original edges, min over lower triangles of
@@ -44,8 +46,8 @@ namespace mts {
 class CchTopology {
  public:
   /// Runs the elimination game over `g` with the fixed contraction order
-  /// `rank` (one rank per node, a permutation — use the CH's ranks so the
-  /// two hierarchies agree).  The graph is not retained.
+  /// `rank` (one rank per node, a permutation — production passes
+  /// nested_dissection_order(g)).  The graph is not retained.
   static CchTopology build(const DiGraph& g, std::span<const std::uint32_t> rank);
 
   [[nodiscard]] std::size_t num_nodes() const { return rank_.size(); }

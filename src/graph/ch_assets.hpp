@@ -1,7 +1,7 @@
 // The per-(graph, weights) speedup bundle production consumers share.
 //
-// A ContractionHierarchy answers unmodified-graph queries; the CchTopology
-// built over the same contraction order answers masked (candidate-cut)
+// A ContractionHierarchy answers unmodified-graph queries; a CchTopology
+// over the graph's nested-dissection order answers masked (candidate-cut)
 // queries via cheap re-customization.  They are built together because
 // every serving consumer (net::Snapshot, exp::table_runner) needs both:
 // the oracle's reverse bounds come off the CH, its certification and the
@@ -9,12 +9,14 @@
 //
 // ChAssets is immutable after build and shared read-only across worker
 // threads; per-worker mutable state (ChSearchSpace, CchMetric) lives with
-// the worker.  The `ch` / `cch` members are built from the SAME graph and
-// weight vector — a ForcePathCutProblem carrying a ChAssets pointer must
-// point at assets built from its own graph+weights (checked by size,
-// enforced by contract).
+// the worker.  `ch` is built for one weight vector; `cch` depends on the
+// graph alone, so bundles of one graph under different weights share it.
+// A ForcePathCutProblem carrying a ChAssets pointer must point at assets
+// built from its own graph+weights (checked by size, enforced by
+// contract).
 #pragma once
 
+#include <memory>
 #include <span>
 
 #include "graph/cch.hpp"
@@ -25,10 +27,13 @@ namespace mts {
 
 struct ChAssets {
   ContractionHierarchy ch;
-  CchTopology cch;
+  std::shared_ptr<const CchTopology> cch;
 
+  /// Builds the CH for `weights` and pairs it with `topology`, which must
+  /// belong to `g`; when null, builds the topology over
+  /// nested_dissection_order(g).
   static ChAssets build(const DiGraph& g, std::span<const double> weights,
-                        const ChOptions& options = {});
+                        std::shared_ptr<const CchTopology> topology = nullptr);
 };
 
 /// The MTS_CH knob (default on): whether CH-backed serving paths are

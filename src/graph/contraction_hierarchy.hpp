@@ -145,7 +145,6 @@ class ContractionHierarchy {
   [[nodiscard]] std::size_t num_nodes() const { return rank_.size(); }
   [[nodiscard]] std::size_t num_shortcuts() const { return num_shortcuts_; }
   [[nodiscard]] std::uint32_t rank(NodeId n) const { return rank_[n.value()]; }
-  [[nodiscard]] std::span<const std::uint32_t> ranks() const { return rank_; }
 
  private:
   friend class ChTableQuery;

@@ -18,7 +18,8 @@ Snapshot::Snapshot(osm::RoadNetwork network)
   if (ch_enabled()) {
     obs::ScopedPhase phase("ch_build");
     time_ch_ = std::make_unique<ChAssets>(ChAssets::build(network_.graph(), time_weights_));
-    length_ch_ = std::make_unique<ChAssets>(ChAssets::build(network_.graph(), length_weights_));
+    length_ch_ = std::make_unique<ChAssets>(
+        ChAssets::build(network_.graph(), length_weights_, time_ch_->cch));
   }
 }
 

@@ -45,7 +45,8 @@ class Snapshot {
 
   /// CH/CCH bundle for a weight kind, built once at load and shared
   /// read-only by every worker's QueryEngine (per-request mutable state —
-  /// workspaces, CchMetric — lives engine-side).  nullptr when MTS_CH=0:
+  /// workspaces, CchMetric — lives engine-side).  Both kinds share one
+  /// CchTopology: its order depends on the graph alone.  nullptr when MTS_CH=0:
   /// every consumer must keep a plain Dijkstra/Yen path that produces the
   /// same answers (DESIGN.md §14).
   [[nodiscard]] const ChAssets* ch(bool time) const {

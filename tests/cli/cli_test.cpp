@@ -7,17 +7,14 @@
 #include <sstream>
 #include <utility>
 
+#include "temp_dir.hpp"
+
 namespace mts::cli {
 namespace {
 
 class CliTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "mts_cli_test";
-    std::filesystem::create_directories(dir_);
-    osm_path_ = (dir_ / "city.osm").string();
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
+  void SetUp() override { osm_path_ = (dir_ / "city.osm").string(); }
 
   int run(std::initializer_list<std::string> args) {
     out_.str("");
@@ -33,7 +30,7 @@ class CliTest : public ::testing::Test {
         << err_.str();
   }
 
-  std::filesystem::path dir_;
+  test::TempDir dir_;
   std::string osm_path_;
   std::ostringstream out_;
   std::ostringstream err_;

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/error.hpp"
+#include "temp_dir.hpp"
 
 namespace mts {
 namespace {
@@ -54,8 +55,7 @@ TEST(Table, CsvEscapesSpecialCharacters) {
 }
 
 TEST(Table, SaveCsvCreatesDirectories) {
-  const auto dir = std::filesystem::temp_directory_path() / "mts_table_test";
-  std::filesystem::remove_all(dir);
+  const test::TempDir dir;
   const auto path = dir / "sub" / "out.csv";
   sample_table().save_csv(path.string());
   std::ifstream in(path);
@@ -63,7 +63,6 @@ TEST(Table, SaveCsvCreatesDirectories) {
   std::string header;
   std::getline(in, header);
   EXPECT_EQ(header, "City,Nodes");
-  std::filesystem::remove_all(dir);
 }
 
 TEST(FormatFixed, RoundsToRequestedDecimals) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "attack/models.hpp"
 #include "citygen/generate.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/nested_dissection.hpp"
 #include "test_util.hpp"
 
 namespace mts {
@@ -12,8 +15,7 @@ namespace {
 
 TEST(Cch, UnmaskedDistancesMatchDijkstra) {
   test::Diamond d;
-  const auto ch = ContractionHierarchy::build(d.wg.g, d.wg.weights);
-  const auto topo = CchTopology::build(d.wg.g, ch.ranks());
+  const auto topo = CchTopology::build(d.wg.g, nested_dissection_order(d.wg.g));
   CchMetric metric(topo, d.wg.weights);
   EXPECT_DOUBLE_EQ(metric.distance(d.s, d.t), 2.0);
   EXPECT_DOUBLE_EQ(metric.distance(d.s, d.a), 1.0);
@@ -23,8 +25,7 @@ TEST(Cch, UnmaskedDistancesMatchDijkstra) {
 
 TEST(Cch, RecustomizeTracksMaskAndRestores) {
   test::Diamond d;
-  const auto ch = ContractionHierarchy::build(d.wg.g, d.wg.weights);
-  const auto topo = CchTopology::build(d.wg.g, ch.ranks());
+  const auto topo = CchTopology::build(d.wg.g, nested_dissection_order(d.wg.g));
   CchMetric metric(topo, d.wg.weights);
 
   EdgeFilter filter(d.wg.g.num_edges());
@@ -48,8 +49,7 @@ TEST(Cch, ParallelEdgesSurviveSelectiveRemoval) {
   g.add_edge(b, c);
   g.finalize();
   const std::vector<double> w = {3.0, 1.0, 2.0};
-  const auto ch = ContractionHierarchy::build(g, w);
-  const auto topo = CchTopology::build(g, ch.ranks());
+  const auto topo = CchTopology::build(g, nested_dissection_order(g));
   CchMetric metric(topo, w);
   EXPECT_DOUBLE_EQ(metric.distance(a, c), 3.0);
 
@@ -68,8 +68,7 @@ TEST(Cch, ParallelEdgesSurviveSelectiveRemoval) {
 TEST(Cch, BoundsToTargetMatchesMaskedReverseDistances) {
   Rng rng(5);
   auto wg = test::make_random_graph(30, 100, rng);
-  const auto ch = ContractionHierarchy::build(wg.g, wg.weights);
-  const auto topo = CchTopology::build(wg.g, ch.ranks());
+  const auto topo = CchTopology::build(wg.g, nested_dissection_order(wg.g));
   CchMetric metric(topo, wg.weights);
 
   EdgeFilter filter(wg.g.num_edges());
@@ -98,8 +97,7 @@ TEST(Cch, RepeatedRecustomizationsOnCityNetwork) {
   const auto network = citygen::generate_city(citygen::City::Boston, 0.2, 19);
   const auto& g = network.graph();
   const auto weights = attack::make_weights(network, attack::WeightType::Time);
-  const auto ch = ContractionHierarchy::build(g, weights);
-  const auto topo = CchTopology::build(g, ch.ranks());
+  const auto topo = CchTopology::build(g, nested_dissection_order(g));
   CchMetric metric(topo, weights);
 
   Rng rng(23);
@@ -125,6 +123,86 @@ TEST(Cch, RepeatedRecustomizationsOnCityNetwork) {
         EXPECT_NEAR(got, expected, 1e-9 * (1.0 + expected)) << "round " << round;
       }
     }
+  }
+}
+
+TEST(Cch, MaskedQueriesMatchFilteredDijkstraOnEveryArchetype) {
+  for (const citygen::City city : citygen::kAllCities) {
+    const auto network = citygen::generate_city(city, 0.3, 31);
+    const auto& base = network.graph();
+    const auto base_weights = attack::make_weights(network, attack::WeightType::Length);
+
+    // The city plus what its generator rarely emits: parallel twins with
+    // another weight, and self loops.
+    Rng rng(37);
+    DiGraph g;
+    for (NodeId v : base.nodes()) g.add_node(base.x(v), base.y(v));
+    std::vector<double> weights;
+    for (EdgeId e : base.edges()) {
+      g.add_edge(base.edge_from(e), base.edge_to(e));
+      weights.push_back(base_weights[e.value()]);
+      if (rng.uniform() < 0.05) {
+        g.add_edge(base.edge_from(e), base.edge_to(e));
+        weights.push_back(base_weights[e.value()] * rng.uniform(0.5, 2.0));
+      }
+      if (rng.uniform() < 0.02) {
+        g.add_edge(base.edge_from(e), base.edge_from(e));
+        weights.push_back(rng.uniform(0.0, 10.0));
+      }
+    }
+    g.finalize();
+    const std::string name = citygen::to_string(city);
+
+    const auto topo = CchTopology::build(g, nested_dissection_order(g));
+    CchMetric metric(topo, weights);
+    EdgeFilter filter(g.num_edges());
+    SearchSpace bounds;
+    SearchSpace reference;
+    std::size_t disconnected = 0;
+    for (int round = 0; round < 6; ++round) {
+      // A fresh random mask each round, diffed against the last one, plus
+      // every in-edge of one node: that node becomes unreachable.
+      filter.clear();
+      for (EdgeId e : g.edges()) {
+        if (rng.uniform() < 0.04 * round) filter.remove(e);
+      }
+      const NodeId isolated(static_cast<std::uint32_t>(rng.uniform_index(g.num_nodes())));
+      for (EdgeId e : g.in_edges(isolated)) filter.remove(e);
+      metric.recustomize(&filter);
+
+      const NodeId target(static_cast<std::uint32_t>(rng.uniform_index(g.num_nodes())));
+      metric.bounds_to_target(target, bounds);
+      DijkstraOptions options;
+      options.filter = &filter;
+      reverse_dijkstra(reference, g, weights, target, options);
+      for (NodeId v : g.nodes()) {
+        const double expected = reference.reached(v) ? reference.dist(v) : kInfiniteDistance;
+        const double got = bounds.reached(v) ? bounds.dist(v) : kInfiniteDistance;
+        if (expected == kInfiniteDistance) {
+          ++disconnected;
+          ASSERT_EQ(got, kInfiniteDistance) << name << " round " << round << " node " << v.value();
+        } else {
+          ASSERT_NEAR(got, expected, 1e-9 * (1.0 + expected))
+              << name << " round " << round << " node " << v.value();
+        }
+      }
+
+      for (int trial = 0; trial < 12; ++trial) {
+        const NodeId s(static_cast<std::uint32_t>(rng.uniform_index(g.num_nodes())));
+        const NodeId t = trial == 0 ? isolated
+                                    : NodeId(static_cast<std::uint32_t>(
+                                          rng.uniform_index(g.num_nodes())));
+        const double expected = shortest_distance(g, weights, s, t, &filter);
+        const double got = metric.distance(s, t);
+        if (expected == kInfiniteDistance) {
+          ASSERT_EQ(got, kInfiniteDistance) << name << " " << s.value() << "->" << t.value();
+        } else {
+          ASSERT_NEAR(got, expected, 1e-9 * (1.0 + expected))
+              << name << " " << s.value() << "->" << t.value();
+        }
+      }
+    }
+    EXPECT_GT(disconnected, 0U) << name;
   }
 }
 

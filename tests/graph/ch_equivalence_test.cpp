@@ -9,6 +9,7 @@
 #include "graph/ch_table.hpp"
 #include "graph/contraction_hierarchy.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/nested_dissection.hpp"
 #include "test_util.hpp"
 
 namespace mts {
@@ -96,8 +97,7 @@ TEST(ChEquivalence, RecustomizedCchMatchesFilteredDijkstraOnFuzzedGraphs) {
     Rng rng(seed);
     const auto wg = make_fuzz_graph(25, 30 + rng.uniform_index(60), rng);
     if (wg.g.num_edges() == 0) continue;
-    const auto ch = ContractionHierarchy::build(wg.g, wg.weights);
-    const auto topo = CchTopology::build(wg.g, ch.ranks());
+    const auto topo = CchTopology::build(wg.g, nested_dissection_order(wg.g));
     CchMetric metric(topo, wg.weights);
 
     // A sequence of evolving masks on one metric object, so later rounds

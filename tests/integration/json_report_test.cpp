@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "obs/metrics.hpp"
+#include "temp_dir.hpp"
 
 namespace mts::exp {
 namespace {
@@ -64,15 +65,13 @@ TEST(JsonReport, BalancedAndComplete) {
 }
 
 TEST(JsonReport, SaveCreatesFile) {
-  const auto dir = std::filesystem::temp_directory_path() / "mts_json_test";
-  std::filesystem::remove_all(dir);
+  const test::TempDir dir;
   const auto path = (dir / "sub" / "r.json").string();
   save_json(small_result(), path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string content((std::istreambuf_iterator<char>(in)), {});
   EXPECT_EQ(content, to_json(small_result()));
-  std::filesystem::remove_all(dir);
 }
 
 TEST(JsonReport, NumbersAreFiniteAndPlain) {
@@ -88,17 +87,13 @@ class ObsSuffixTest : public ::testing::Test {
  protected:
   void SetUp() override {
     unsetenv("MTS_OBS_SUFFIX");
-    dir_ = std::filesystem::temp_directory_path() / "mts_obs_suffix_test";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
     obs::set_metrics_enabled(true);
   }
   void TearDown() override {
     unsetenv("MTS_OBS_SUFFIX");
     obs::set_metrics_enabled(false);
-    std::filesystem::remove_all(dir_);
   }
-  std::filesystem::path dir_;
+  test::TempDir dir_;
 };
 
 TEST_F(ObsSuffixTest, DefaultSuffixIsEmptyAndKeepsHistoricalFilenames) {
@@ -128,7 +123,7 @@ TEST_F(ObsSuffixTest, LiteralSuffixIsUsedVerbatim) {
 TEST_F(ObsSuffixTest, MetricsOffWritesNothing) {
   obs::set_metrics_enabled(false);
   save_observability((dir_ / "run").string());
-  EXPECT_TRUE(std::filesystem::is_empty(dir_));
+  EXPECT_TRUE(std::filesystem::is_empty(dir_.path()));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "citygen/generate.hpp"
 #include "exp/scenario.hpp"
 #include "osm/xml.hpp"
+#include "temp_dir.hpp"
 #include "viz/svg.hpp"
 
 namespace mts {
@@ -22,8 +23,7 @@ TEST(Pipeline, CityToXmlToAttackToSvg) {
   const auto osm_data = citygen::generate_city_osm(spec, 21);
 
   // Disk round trip, as a real OSM extract would arrive.
-  const auto dir = std::filesystem::temp_directory_path() / "mts_pipeline_test";
-  std::filesystem::create_directories(dir);
+  const test::TempDir dir;
   const auto osm_path = (dir / "boston.osm").string();
   osm::save_osm_xml(osm_data, osm_path);
   const auto reloaded = osm::load_osm_xml(osm_path);
@@ -72,7 +72,6 @@ TEST(Pipeline, CityToXmlToAttackToSvg) {
     EXPECT_NE(content.find(viz::RenderOptions{}.removed_color), std::string::npos);
     EXPECT_NE(content.find(viz::RenderOptions{}.p_star_color), std::string::npos);
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Pipeline, IntelligentAlgorithmsNoCostlierThanNaive) {

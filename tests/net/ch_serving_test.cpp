@@ -102,6 +102,13 @@ TEST(ChServing, SnapshotBuildsChBundlesOnlyWhenEnabled) {
   EXPECT_EQ(dijkstra_snapshot().ch(false), nullptr);
 }
 
+TEST(ChServing, WeightKindsShareOneCchTopology) {
+  // The nested-dissection order reads no weights, so the TIME and LENGTH
+  // bundles need only one topology between them.
+  EXPECT_NE(ch_snapshot().ch(true)->cch, nullptr);
+  EXPECT_EQ(ch_snapshot().ch(true)->cch, ch_snapshot().ch(false)->cch);
+}
+
 TEST(ChServing, ResponsesByteIdenticalToDijkstraServing) {
   const auto requests = parity_requests(ch_snapshot().num_nodes());
   const auto ch_lines = answer_all(ch_snapshot(), requests);

@@ -188,6 +188,29 @@ class LintFixtureTest(unittest.TestCase):
                    "}\n")
         self.assert_fires("src/exp/bad.cpp", 3, "no-raw-getenv")
 
+    def test_no_fixed_temp_dir(self) -> None:
+        self.write("tests/core/bad_test.cpp",
+                   "#include <filesystem>\n"
+                   "// std::filesystem::temp_directory_path() in a comment is fine\n"
+                   "auto scratch() {\n"
+                   "  return std::filesystem::temp_directory_path() / \"mts_fixed\";\n"
+                   "}\n"
+                   "const char* kJournal = \"/tmp/mts_journal.jsonl\";\n")
+        proc = run_lint(self.root)
+        self.assertEqual(
+            [v for v in violations(proc) if v[2] == "no-fixed-temp-dir"],
+            [("tests/core/bad_test.cpp", 4, "no-fixed-temp-dir"),
+             ("tests/core/bad_test.cpp", 6, "no-fixed-temp-dir")],
+            proc.stdout)
+
+    def test_no_fixed_temp_dir_helper_suppression(self) -> None:
+        self.write("tests/temp_dir.hpp",
+                   "#pragma once\n"
+                   "#include <filesystem>\n"
+                   "// mts-lint: allow(no-fixed-temp-dir) the shared helper\n"
+                   "inline auto base() { return std::filesystem::temp_directory_path(); }\n")
+        self.assert_clean()
+
     def test_no_mutable_global(self) -> None:
         self.write("src/core/bad.hpp",
                    "#pragma once\n"

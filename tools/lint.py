@@ -56,6 +56,12 @@ Rules (see DESIGN.md "Correctness tooling"):
                    depends on ordered emission, and hash-order iteration is
                    the classic leak.  Provably order-insensitive folds
                    (e.g. merging into a std::map) carry a suppression
+  no-fixed-temp-dir
+                   tests take scratch directories from test::TempDir
+                   (tests/temp_dir.hpp), never from a name of their own under
+                   the system temp dir or /tmp — ctest -j runs tests as
+                   concurrent processes, and a shared fixed name lets one
+                   test's cleanup delete another's files
   ci-workflow      .github/workflows/ci.yml parses as YAML and carries a
                    job matrix covering every ci.sh leg (dev, asan, tsan)
                    plus the tidy gate, so the hosted gate can never
@@ -333,6 +339,18 @@ class Linter:
                             f"per-call num_nodes-sized allocation in a search engine; "
                             f"use the SearchSpace workspace: {line}")
 
+    def check_no_fixed_temp_dir(self) -> None:
+        # Matched on the raw text: the banned names are string literals,
+        # which strip_code() erases.  Comment lines are skipped.
+        pattern = re.compile(r"temp_directory_path\s*\(|\"/tmp\b")
+        for path in self.files(["tests"], CXX_SUFFIXES):
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+                if line.lstrip().startswith("//") or not pattern.search(line):
+                    continue
+                self.report(path, lineno, "no-fixed-temp-dir",
+                            f"fixed temp-dir name; use test::TempDir "
+                            f"(tests/temp_dir.hpp): {line.strip()}")
+
     def check_no_raw_getenv(self) -> None:
         # Every environment read flows through core/env.hpp (env_raw and the
         # typed helpers built on it): MTS_* knobs decide output-affecting
@@ -465,6 +483,7 @@ class Linter:
         self.check_no_raw_clock()
         self.check_no_using_namespace()
         self.check_no_search_alloc()
+        self.check_no_fixed_temp_dir()
         self.check_no_raw_getenv()
         self.check_no_mutable_global()
         self.check_no_unordered_output()
