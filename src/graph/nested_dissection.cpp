@@ -4,6 +4,7 @@
 #include <array>
 #include <numeric>
 #include <span>
+#include <tuple>
 
 #include "core/error.hpp"
 #include "graph/maxflow.hpp"
@@ -164,7 +165,7 @@ class Dissector {
         std::iota(by_projection.begin(), by_projection.end(), 0U);
         std::sort(by_projection.begin(), by_projection.end(),
                   [&](std::uint32_t a, std::uint32_t b) {
-                    return projection[a] < projection[b] || (projection[a] == projection[b] && a < b);
+                    return std::tie(projection[a], a) < std::tie(projection[b], b);
                   });
 
         // Node split: local i becomes in = 2i -> out = 2i+1 with capacity

@@ -46,8 +46,8 @@ std::vector<std::vector<std::uint32_t>> components(const DiGraph& g,
 
 /// True when `nodes` hold one contiguous rank range.
 bool contiguous(const std::vector<std::uint32_t>& nodes, const std::vector<std::uint32_t>& rank) {
-  const auto [lo, hi] = std::minmax_element(
-      nodes.begin(), nodes.end(), [&](std::uint32_t a, std::uint32_t b) { return rank[a] < rank[b]; });
+  const auto by_rank = [&](std::uint32_t a, std::uint32_t b) { return rank[a] < rank[b]; };
+  const auto [lo, hi] = std::minmax_element(nodes.begin(), nodes.end(), by_rank);
   return rank[*hi] - rank[*lo] + 1 == nodes.size();
 }
 
