@@ -86,10 +86,13 @@ void BM_EdgeBetweennessSampled(benchmark::State& state, citygen::City city) {
   }
 }
 
-void BM_ChBuild(benchmark::State& state, citygen::City city) {
+/// LENGTH is the slower build (its witness searches settle more) and the
+/// one a paper-table grid repeats for every table it runs.
+void BM_ChBuild(benchmark::State& state, citygen::City city, attack::WeightType weight) {
   const auto& f = fixture(city);
+  const auto weights = attack::make_weights(f.network, weight);
   for (auto _ : state) {
-    auto ch = ContractionHierarchy::build(f.network.graph(), f.weights);
+    auto ch = ContractionHierarchy::build(f.network.graph(), weights);
     benchmark::DoNotOptimize(ch.num_shortcuts());
   }
 }
@@ -150,7 +153,13 @@ BENCHMARK_CAPTURE(BM_YenKsp, boston, citygen::City::Boston)->Arg(10)->Arg(50)->U
 BENCHMARK_CAPTURE(BM_YenKsp, chicago, citygen::City::Chicago)->Arg(10)->Arg(50)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_EigenvectorCentrality, chicago, citygen::City::Chicago);
 BENCHMARK_CAPTURE(BM_EdgeBetweennessSampled, chicago, citygen::City::Chicago)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ChBuild, chicago, citygen::City::Chicago)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ChBuild, chicago, citygen::City::Chicago, attack::WeightType::Time)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ChBuild, chicago_length, citygen::City::Chicago, attack::WeightType::Length)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ChBuild, losangeles_length, citygen::City::LosAngeles,
+                  attack::WeightType::Length)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ChQuery, chicago, citygen::City::Chicago);
 BENCHMARK_CAPTURE(BM_CchBuild, chicago, citygen::City::Chicago)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CchRecustomize8, chicago, citygen::City::Chicago);
