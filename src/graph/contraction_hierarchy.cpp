@@ -43,22 +43,45 @@ struct PoolArc {
   std::uint32_t original_edge = 0;
 };
 
+/// Witness searches settle at most this many nodes and follow paths of at
+/// most this many arcs (small values are standard).  Larger limits find
+/// more witnesses, so fewer redundant shortcuts, at a slower build.
+constexpr std::size_t kWitnessSettleLimit = 60;
+constexpr std::uint32_t kWitnessHopLimit = 16;
+
 /// Preprocessing state: dynamic adjacency over pool arcs between
-/// not-yet-contracted nodes.
+/// not-yet-contracted nodes.  Contracting a node erases its arcs from its
+/// neighbours' lists, so a live node's lists hold only arcs whose other
+/// end is live, in insertion order.
 struct Builder {
+  struct WitnessEntry {
+    double dist;
+    std::uint32_t node;
+    std::uint32_t hops;
+    bool operator<(const WitnessEntry& other) const { return dist > other.dist; }
+  };
+
   std::vector<PoolArc> pool;
   std::vector<std::vector<std::uint32_t>> out_arcs;  // pool ids by tail
   std::vector<std::vector<std::uint32_t>> in_arcs;   // pool ids by head
   std::vector<std::uint8_t> contracted;
   std::vector<std::uint32_t> depth;  // hierarchy-depth heuristic
-  ChOptions options;
 
-  Builder(const DiGraph& g, std::span<const double> weights, const ChOptions& opt)
+  // Witness-search scratch shared by every search of the build: a label is
+  // valid only where its stamp equals the current epoch, so each search
+  // starts in O(1) instead of clearing or allocating.
+  std::vector<double> witness_dist;
+  std::vector<std::uint32_t> witness_stamp;
+  std::uint32_t witness_epoch = 0;
+  std::vector<WitnessEntry> witness_heap;
+
+  Builder(const DiGraph& g, std::span<const double> weights)
       : out_arcs(g.num_nodes()),
         in_arcs(g.num_nodes()),
         contracted(g.num_nodes(), 0),
         depth(g.num_nodes(), 0),
-        options(opt) {
+        witness_dist(g.num_nodes(), kInf),
+        witness_stamp(g.num_nodes(), 0) {
     for (EdgeId e : g.edges()) {
       const auto u = g.edge_from(e).value();
       const auto v = g.edge_to(e).value();
@@ -82,73 +105,68 @@ struct Builder {
     in_arcs[arc.to].push_back(id);
   }
 
+  [[nodiscard]] double witness_label(std::uint32_t n) const {
+    return witness_stamp[n] == witness_epoch ? witness_dist[n] : kInf;
+  }
+  void set_witness_label(std::uint32_t n, double d) {
+    witness_stamp[n] = witness_epoch;
+    witness_dist[n] = d;
+  }
+  // std::push_heap/std::pop_heap with WitnessEntry::operator< is exactly
+  // what std::priority_queue does, so tied entries pop in the same order.
+  void witness_push(const WitnessEntry& entry) {
+    witness_heap.push_back(entry);
+    std::push_heap(witness_heap.begin(), witness_heap.end());
+  }
+  WitnessEntry witness_pop() {
+    std::pop_heap(witness_heap.begin(), witness_heap.end());
+    const WitnessEntry top = witness_heap.back();
+    witness_heap.pop_back();
+    return top;
+  }
+
   /// Bounded local search: does a u->w path avoiding `banned` with length
   /// <= `limit` exist among uncontracted nodes?
   bool witness_exists(std::uint32_t source, std::uint32_t target, std::uint32_t banned,
                       double limit) {
-    struct Entry {
-      double dist;
-      std::uint32_t node;
-      std::uint32_t hops;
-      bool operator<(const Entry& other) const { return dist > other.dist; }
-    };
-    // Searches touch a handful of nodes; a linear-scan map beats O(n)
-    // clears and hash overhead.
-    std::vector<std::pair<std::uint32_t, double>> best;
-    auto get = [&](std::uint32_t n) {
-      for (const auto& [node, dist] : best) {
-        if (node == n) return dist;
-      }
-      return kInf;
-    };
-    auto set = [&](std::uint32_t n, double d) {
-      for (auto& [node, dist] : best) {
-        if (node == n) {
-          dist = d;
-          return;
-        }
-      }
-      best.emplace_back(n, d);
-    };
-
-    std::priority_queue<Entry> queue;
-    queue.push({0.0, source, 0});
-    set(source, 0.0);
+    if (++witness_epoch == 0) {  // wrapped: invalidate every stale stamp
+      std::fill(witness_stamp.begin(), witness_stamp.end(), 0);
+      witness_epoch = 1;
+    }
+    witness_heap.clear();
+    witness_push({0.0, source, 0});
+    set_witness_label(source, 0.0);
     std::size_t settled = 0;
-    while (!queue.empty()) {
-      const auto [dist, node, hops] = queue.top();
-      queue.pop();
-      if (dist > get(node)) continue;  // stale
+    while (!witness_heap.empty()) {
+      const auto [dist, node, hops] = witness_pop();
+      if (dist > witness_label(node)) continue;  // stale
       if (node == target) return dist <= limit;
-      if (++settled > options.witness_settle_limit) break;
-      if (hops >= options.witness_hop_limit) continue;
+      if (++settled > kWitnessSettleLimit) break;
+      if (hops >= kWitnessHopLimit) continue;
       for (std::uint32_t id : out_arcs[node]) {
         const PoolArc& arc = pool[id];
-        if (contracted[arc.to] || arc.to == banned) continue;
+        if (arc.to == banned) continue;
         const double candidate = dist + arc.weight;
-        if (candidate <= limit && candidate < get(arc.to)) {
-          set(arc.to, candidate);
-          queue.push({candidate, arc.to, hops + 1});
+        if (candidate <= limit && candidate < witness_label(arc.to)) {
+          set_witness_label(arc.to, candidate);
+          witness_push({candidate, arc.to, hops + 1});
         }
       }
     }
-    return get(target) <= limit;
+    return witness_label(target) <= limit;
   }
 
   /// Shortcuts required to contract `v`; inserts them when `apply`.
   int simulate_or_contract(std::uint32_t v, bool apply) {
     int shortcuts = 0;
-    // Snapshot: add_arc may grow in_arcs/out_arcs of other nodes, but not
-    // of v, so iterating v's lists by index is safe; still copy ids for
-    // clarity.
-    const std::vector<std::uint32_t> ins = in_arcs[v];
-    const std::vector<std::uint32_t> outs = out_arcs[v];
-    for (std::uint32_t in_id : ins) {
+    // add_arc grows other nodes' lists and the pool, never v's lists, so
+    // they are iterated in place; the arcs themselves are copied because
+    // the pool may reallocate.
+    for (std::uint32_t in_id : in_arcs[v]) {
       const PoolArc in_arc = pool[in_id];
-      if (contracted[in_arc.from]) continue;
-      for (std::uint32_t out_id : outs) {
+      for (std::uint32_t out_id : out_arcs[v]) {
         const PoolArc out_arc = pool[out_id];
-        if (contracted[out_arc.to] || out_arc.to == in_arc.from) continue;
+        if (out_arc.to == in_arc.from) continue;
         const double through = in_arc.weight + out_arc.weight;
         if (witness_exists(in_arc.from, out_arc.to, v, through)) continue;
         ++shortcuts;
@@ -163,12 +181,26 @@ struct Builder {
 
   /// Edge-difference priority (lower contracts earlier).
   double priority(std::uint32_t v) {
-    int alive = 0;
-    for (std::uint32_t id : in_arcs[v]) alive += contracted[pool[id].from] ? 0 : 1;
-    for (std::uint32_t id : out_arcs[v]) alive += contracted[pool[id].to] ? 0 : 1;
+    const auto alive = static_cast<double>(in_arcs[v].size() + out_arcs[v].size());
     const int shortcuts = simulate_or_contract(v, /*apply=*/false);
-    return static_cast<double>(shortcuts) - static_cast<double>(alive) +
-           0.5 * static_cast<double>(depth[v]);
+    return static_cast<double>(shortcuts) - alive + 0.5 * static_cast<double>(depth[v]);
+  }
+
+  /// Contracts `v`: inserts its shortcuts, then detaches it from its live
+  /// neighbours (raising their depth) so later searches never scan it.
+  void contract(std::uint32_t v) {
+    simulate_or_contract(v, /*apply=*/true);
+    contracted[v] = 1;
+    for (std::uint32_t id : in_arcs[v]) {
+      const auto u = pool[id].from;
+      depth[u] = std::max(depth[u], depth[v] + 1);
+      std::erase(out_arcs[u], id);
+    }
+    for (std::uint32_t id : out_arcs[v]) {
+      const auto w = pool[id].to;
+      depth[w] = std::max(depth[w], depth[v] + 1);
+      std::erase(in_arcs[w], id);
+    }
   }
 };
 
@@ -220,13 +252,12 @@ ChSearchSpace& thread_ch_search_space() {
 }
 
 ContractionHierarchy ContractionHierarchy::build(const DiGraph& g,
-                                                 std::span<const double> weights,
-                                                 const ChOptions& options) {
+                                                 std::span<const double> weights) {
   require(g.finalized(), "CH: graph not finalized");
   require(weights.size() == g.num_edges(), "CH: weights size mismatch");
 
   const std::size_t n = g.num_nodes();
-  Builder builder(g, weights, options);
+  Builder builder(g, weights);
 
   ContractionHierarchy ch;
   ch.rank_.assign(n, 0);
@@ -251,21 +282,8 @@ ContractionHierarchy ContractionHierarchy::build(const DiGraph& g,
       continue;
     }
 
-    builder.simulate_or_contract(v, /*apply=*/true);
-    builder.contracted[v] = 1;
+    builder.contract(v);
     ch.rank_[v] = next_rank++;
-    for (std::uint32_t id : builder.in_arcs[v]) {
-      const auto u = builder.pool[id].from;
-      if (!builder.contracted[u]) {
-        builder.depth[u] = std::max(builder.depth[u], builder.depth[v] + 1);
-      }
-    }
-    for (std::uint32_t id : builder.out_arcs[v]) {
-      const auto w = builder.pool[id].to;
-      if (!builder.contracted[w]) {
-        builder.depth[w] = std::max(builder.depth[w], builder.depth[v] + 1);
-      }
-    }
   }
 
   // Expansion records, in pool order.

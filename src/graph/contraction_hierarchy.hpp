@@ -37,14 +37,6 @@
 
 namespace mts {
 
-struct ChOptions {
-  /// Witness-search limit: settle at most this many nodes per local
-  /// search.  Larger = fewer redundant shortcuts, slower preprocessing.
-  std::size_t witness_settle_limit = 60;
-  /// Hop limit for witness searches (small values are standard).
-  std::size_t witness_hop_limit = 16;
-};
-
 /// Reusable workspace for CH queries: the bidirectional distance/parent
 /// labels (epoch-stamped, reset in O(1)), the shared heap, and the plain
 /// one-to-all sweep array PHAST fills.  One per worker thread, never
@@ -113,8 +105,7 @@ class ContractionHierarchy {
  public:
   /// Preprocesses `g` under non-negative `weights`.  The graph must be
   /// finalized; it is not retained — the CH is self-contained.
-  static ContractionHierarchy build(const DiGraph& g, std::span<const double> weights,
-                                    const ChOptions& options = {});
+  static ContractionHierarchy build(const DiGraph& g, std::span<const double> weights);
 
   struct QueryResult {
     std::optional<Path> path;  // original edge ids, shortcut-free
