@@ -7,7 +7,8 @@
 #   3. runs the full ctest suite, which includes the `lint` entry
 #      (tools/lint.py), the `validate_trace` observability gate
 #      (tools/validate_trace.py), and, under asan, the
-#      sanitizer-instrumented tests.
+#      sanitizer-instrumented tests; the dev leg then repeats the suite
+#      three times per test in shuffled order (the hermeticity gate).
 #
 # The tsan preset is narrower: it builds only the test binaries that host
 # the parallel experiment harness and runs the thread-pool, parallel
@@ -325,6 +326,13 @@ for preset in "${PRESETS[@]}"; do
   fi
 
   if [ "$preset" = dev ]; then
+    # Hermeticity gate: the suite again, each test run three times, in
+    # random order and in parallel, so a test that depends on another
+    # test's files or on running order fails here, not intermittently.
+    echo "==== [$preset] ctest repeat + shuffle (hermetic tests) ===="
+    ctest --preset "$preset" -j "$JOBS" --repeat until-fail:3 --schedule-random \
+      --output-on-failure
+
     # Explicit observability gate: a small MTS_TRACE=1 bench run whose
     # Chrome trace must validate against tools/trace_schema.json (the
     # entry also runs inside the full ctest sweep above; calling it out
